@@ -129,8 +129,10 @@ fn bench_gradients(c: &mut Criterion) {
         b.iter(|| force.energy_grad(black_box(&positions)))
     });
 
-    group.bench_function("collision_map_build", |b| {
-        b.iter(|| black_box(&netlist).collision_map())
+    // The placer rebuilds the force at every multilevel level and on
+    // every incremental re-placement.
+    group.bench_function("frequency_force_build", |b| {
+        b.iter(|| FrequencyForce::new(black_box(&netlist)))
     });
 
     // Allocation-free variants with a persistent workspace — what the

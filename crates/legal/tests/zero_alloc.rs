@@ -4,42 +4,15 @@
 //! `FrequencyAssigner::assign_into` on the same inputs must not touch
 //! the allocator.
 //!
-//! A counting global allocator wraps the system allocator; the runs
+//! A per-thread counting allocator wraps the system allocator; the runs
 //! execute under a 1-thread rayon pool — with a wider pool the large
 //! candidate scans spawn scoped worker threads, whose stacks and
 //! worker-local query buffers are runtime, not kernel, allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use qplacer_testalloc::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
 
 use qplacer_freq::{FreqWorkspace, FrequencyAssigner};
 use qplacer_legal::{LegalWorkspace, Legalizer};

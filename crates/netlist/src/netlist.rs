@@ -187,9 +187,13 @@ impl QuantumNetlist {
     }
 
     /// Builds each instance's *frequency collision map*: the other
-    /// instances within Δc of its frequency, excluding members of the same
-    /// resonator (Eq. 10's Kronecker-delta exclusion). The placement
-    /// engine iterates these lists instead of all pairs (§IV-C1).
+    /// instances within 0.999·Δc of its frequency, excluding members of
+    /// the same resonator (Eq. 10's Kronecker-delta exclusion).
+    ///
+    /// This is the reference definition of the interaction set, with one
+    /// list per instance (O(pairs) memory). The placement engine's
+    /// frequency force builds an equivalent per-frequency-class index
+    /// instead, and its tests check it against this map.
     #[must_use]
     pub fn collision_map(&self) -> Vec<Vec<usize>> {
         let n = self.instances.len();

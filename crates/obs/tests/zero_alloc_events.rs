@@ -8,40 +8,13 @@
 //!   warm) allocates nothing either: the ring is pre-sized and
 //!   overwrite-oldest.
 //!
-//! One sequential test: the allocation counter and the span/event gates
-//! are process-global, so phases must not interleave.
+//! One sequential test: the span/event gates are process-global, so
+//! phases must not interleave.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use qplacer_testalloc::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
 
 use qplacer_obs::{
     clear_events, event_snapshot, set_event_mode, set_flight_capacity, set_spans_enabled, EventMode,

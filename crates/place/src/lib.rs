@@ -8,7 +8,9 @@
 //!   below the target density via a spectrally-solved Poisson system,
 //! * the novel **frequency repulsion** penalty `λ_f·F(x, y)` — a 1/d²
 //!   force acting only between near-resonant instances from different
-//!   resonators (Eqs. 9–10), iterated over precomputed collision maps.
+//!   resonators (Eqs. 9–10), iterated over a per-frequency-class
+//!   partner index that holds the collision map in O(n + exclusions)
+//!   memory.
 //!
 //! Minimization uses Nesterov acceleration with Barzilai–Borwein steps;
 //! both penalty weights grow geometrically so the engine glides from

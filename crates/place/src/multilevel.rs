@@ -95,7 +95,7 @@ fn fine_bins(instances: usize) -> usize {
 /// band-compatible pairs. Returns the instance → cluster map and the
 /// cluster count. Deterministic: vertices are scanned in id order and
 /// ties break toward the lowest-id neighbor.
-fn heavy_edge_clusters(netlist: &QuantumNetlist) -> (Vec<usize>, usize) {
+pub(crate) fn heavy_edge_clusters(netlist: &QuantumNetlist) -> (Vec<usize>, usize) {
     let n = netlist.num_instances();
     let mut edges: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     for net in netlist.nets() {

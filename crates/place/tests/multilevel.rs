@@ -3,41 +3,15 @@
 //! zero-allocation steady state of refinement iterations on coarse
 //! (non-power-of-two) levels.
 //!
-//! Spans and the allocation counter are process-global, so the tests
-//! serialize on one lock.
+//! Spans are process-global, so the tests serialize on one lock. The
+//! allocation counter is per thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use qplacer_testalloc::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 

@@ -1,44 +1,17 @@
 //! Steady-state placement iterations must perform **zero heap
 //! allocations** in the transform and gradient kernels.
 //!
-//! A counting global allocator wraps the system allocator; after a
+//! A per-thread counting allocator wraps the system allocator; after a
 //! warm-up call (which may fault in lazily-built plan-cache entries),
 //! every `*_into` kernel is re-run under a 1-thread rayon pool and the
-//! allocation counter must not move. The 1-thread pool matters: with a
+//! calling thread's allocation counter must not move. The 1-thread pool matters: with a
 //! wider pool the kernels spawn scoped worker threads, whose stacks are
 //! runtime (not kernel) allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use qplacer_testalloc::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
 
 use qplacer_freq::FrequencyAssigner;
 use qplacer_geometry::Point;
